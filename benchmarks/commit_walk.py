@@ -83,6 +83,7 @@ class FullClearCommitter(Committer):
             scheduled = scheduled or epoch is not None
         if scheduled:
             self._decided.clear()
+            self._stamps.clear()
             self.traversal.invalidate_certs()
             self._elector.invalidate()
         return scheduled

@@ -253,6 +253,11 @@ class TuskCommitter:
         self.committed_sequence_length = checkpoint.sequence_length
         self.ledger.adopt(checkpoint)
 
+    def drop_stamps(self) -> None:
+        """Nothing to drop: unlike
+        :meth:`repro.core.committer.Committer.drop_stamps`, this walk
+        keeps no per-slot input stamps."""
+
     @property
     def last_finalized_round(self) -> int:
         """Highest fully finalized leader round."""

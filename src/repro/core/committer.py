@@ -11,6 +11,28 @@ The walk stops at the first undecided slot.
 
 Decided slot classifications are final (Lemmas 4-6), so they are cached
 and never recomputed.
+
+The walk is incremental for undecided slots too: each one caches its
+status together with an *input stamp*, and an equal stamp returns the
+cached status without running the decision rules.  The stamp is the
+block counts of the slot's propose, vote and certify rounds plus, for
+the indirect rule, the digest of a committed anchor's block; while the
+coin is closed it is the certify round's count alone.  The rules read
+nothing else: everything below those rounds is their fixed causal
+history, and round contents only grow above the cursor (garbage
+collection prunes only below it), so an equal count is an equal block
+set.  The anchor itself is found in O(1) per slot during the top-down
+sweep, and each classification elects the slot's validator once.
+
+Stamps say nothing about the committee schedule, so the memo is dropped
+wherever the other caches are invalidated:
+
+* ``_advance_cursor`` pops the finalized slot's stamp (the memo only
+  ever holds slots between the cursor and the DAG frontier);
+* ``_apply_reconfig`` drops the whole memo, because the schedule moved;
+* ``adopt_checkpoint`` drops it, because the cursor jumped;
+* ``MahiMahiCore.raise_sync_floor`` drops it (:meth:`drop_stamps`) next
+  to the traversal memos it drops below the new floor.
 """
 
 from __future__ import annotations
@@ -27,7 +49,7 @@ from ..dag.store import DagStore
 from ..dag.traversal import DagTraversal
 from ..errors import ReproError
 from ..statesync import DEFAULT_CHECKPOINT_LAG, Checkpoint, CommitLedger
-from .decider import Decider, LeaderElector
+from .decider import UNKNOWN_AUTHORITY, Decider, LeaderElector
 from .slots import Decision, LeaderSlot, SlotStatus
 
 #: The first round that hosts leader slots (genesis round 0 never does).
@@ -127,6 +149,9 @@ class Committer:
         # Final (decided) slot classifications; decided statuses never
         # change (Lemmas 4-6), so this is a pure cache.
         self._decided: dict[tuple[int, int], SlotStatus] = {}
+        # Undecided slot -> (input stamp, status at that stamp); see the
+        # module docstring.
+        self._stamps: dict[tuple[int, int], tuple[object, SlotStatus]] = {}
         # Next slot to finalize in the global sequence.
         self._cursor_round = first_leader_round
         self._cursor_offset = 0
@@ -177,28 +202,68 @@ class Committer:
         can consult later slots) and returned in ascending order.
         """
         statuses: deque[SlotStatus] = deque()
+        waves = self._deciders[0]  # every offset shares the wave geometry
+        offsets = range(self._config.leaders_per_round - 1, -1, -1)
+        # round -> the lowest non-skipped slot at or above it: the
+        # anchor (Algorithm 2 line 29) of every slot whose certify round
+        # lies just below.
+        unskipped_from: dict[int, SlotStatus | None] = {}
+        lowest_unskipped: SlotStatus | None = None
         for round_number in range(to_round, from_round - 1, -1):
-            if not self.is_leader_round(round_number):
-                continue
-            for offset in reversed(range(self._config.leaders_per_round)):
-                status = self._classify_slot(round_number, offset, statuses)
-                statuses.appendleft(status)
+            if self.is_leader_round(round_number):
+                anchor = unskipped_from.get(waves.certify_round(round_number) + 1)
+                for offset in offsets:
+                    status = self._classify_slot(round_number, offset, anchor)
+                    statuses.appendleft(status)
+                    if status.decision is not Decision.SKIP:
+                        lowest_unskipped = status
+            unskipped_from[round_number] = lowest_unskipped
         return list(statuses)
 
     def _classify_slot(
-        self, round_number: int, offset: int, higher: "deque[SlotStatus]"
+        self, round_number: int, offset: int, anchor: SlotStatus | None
     ) -> SlotStatus:
         key = (round_number, offset)
         cached = self._decided.get(key)
         if cached is not None:
             return cached
+        memo = self._stamps.get(key)
+        if memo is not None and memo[0] == self._stamp(memo[1], anchor):
+            return memo[1]
         decider = self._deciders[offset]
-        status = decider.try_direct_decide(round_number)
-        if not status.is_decided:
-            status = decider.try_indirect_decide(round_number, higher)
+        authority = decider.elect(round_number)
+        status = decider.try_direct_decide(round_number, authority)
+        if not status.is_decided and authority != UNKNOWN_AUTHORITY:
+            status = decider.try_indirect_decide(round_number, authority, anchor)
         if status.is_decided:
             self._decided[key] = status
+            self._stamps.pop(key, None)
+        else:
+            self._stamps[key] = (self._stamp(status, anchor), status)
         return status
+
+    def _stamp(self, status: SlotStatus, anchor: SlotStatus | None) -> object:
+        """Everything the decision rules read to derive the undecided
+        ``status``: equal stamps mean an equal status.
+
+        The rules read the blocks of the propose, vote and certify
+        rounds (what lies below them is their fixed causal history), and
+        the indirect rule reads the anchor's block when it is committed
+        (it yields UNDECIDED for any other anchor).  While the coin is
+        closed only the certify round's blocks can open it.
+        """
+        propose_round = status.slot.round
+        decider = self._deciders[status.slot.offset]
+        size = self._store.round_size
+        certify = size(decider.certify_round(propose_round))
+        if status.slot.authority == UNKNOWN_AUTHORITY:
+            return certify
+        return (
+            size(propose_round),
+            size(decider.vote_round(propose_round)),
+            certify,
+            None if anchor is None or anchor.block is None else anchor.block.digest,
+        )
 
     # ------------------------------------------------------------------
     # ExtendCommitSequence (Algorithm 1 line 3)
@@ -285,6 +350,8 @@ class Committer:
         * elector — the cached certify round always bounds the wave's
           epoch round from above, so dropping certify rounds >= ``A``
           covers every entry the new committee could re-judge.
+        * input stamps — all dropped: a stamp records round sizes, not
+          the committee its status was judged under.
 
         Returns whether at least one epoch was scheduled.
         """
@@ -305,6 +372,7 @@ class Committer:
             ]
             for key in stale:
                 del self._decided[key]
+            self._stamps.clear()
             self.traversal.invalidate_above(activation)
             self._elector.invalidate_above(activation)
         return scheduled
@@ -324,12 +392,21 @@ class Committer:
             raise ReproError("only a fresh committer may adopt a checkpoint")
         self._cursor_round, self._cursor_offset = checkpoint.next_slot
         self._decided.clear()
+        self._stamps.clear()
         self._output = {ref.digest for ref in checkpoint.linearized}
         self.committed_sequence_length = checkpoint.sequence_length
         self.ledger.adopt(checkpoint)
 
+    def drop_stamps(self) -> None:
+        """Forget every undecided slot's input stamp, so the next walk
+        re-runs the decision rules on all of them (called when the
+        state-transfer floor rises under the walk)."""
+        self._stamps.clear()
+
     def _advance_cursor(self) -> None:
-        self._decided.pop((self._cursor_round, self._cursor_offset), None)
+        key = (self._cursor_round, self._cursor_offset)
+        self._decided.pop(key, None)
+        self._stamps.pop(key, None)
         self._cursor_offset += 1
         if self._cursor_offset >= self._config.leaders_per_round:
             self._cursor_offset = 0

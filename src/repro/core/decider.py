@@ -20,8 +20,6 @@ when the anchor's causal history contains a certificate for the slot.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..block import Block
 from ..committee import Committee, CommitteeSchedule
 from ..crypto.coin import CoinShare, CommonCoin
@@ -50,12 +48,14 @@ class LeaderElector:
     demand the *old* committee's quorum of shares from a round only the
     *new* committee proposes in — under partial participation (real
     deployments skip rounds; crashed sim validators too) that coin could
-    never open and the commit walk would deadlock at the boundary.  The
-    value-to-validator mapping still resolves against the committee of
-    the wave's epoch (the propose round's — ``epoch_round``), so
-    election follows reconfiguration: a joiner is never elected for a
-    pre-join wave.  Both coin families reconstruct a share-independent
-    value, so which quorum opens the coin never changes who is elected.
+    never open and the commit walk would deadlock at the boundary.  So
+    :meth:`coin_value` takes only the certify round.  The
+    value-to-validator mapping in :meth:`leader` still resolves against
+    the committee of the wave's epoch (its ``epoch_round``, the propose
+    round), so election follows reconfiguration: a joiner is never
+    elected for a pre-join wave.  Both coin families reconstruct a
+    share-independent value, so which quorum opens the coin never
+    changes who is elected.
     """
 
     def __init__(
@@ -67,28 +67,29 @@ class LeaderElector:
         self._store = store
         self._schedule = CommitteeSchedule.ensure(committee)
         self._coin = coin
-        # certify round -> (member authors seen at last attempt, value or
-        # None).  A failed reconstruction is retried only once new
-        # authors' blocks (hence new shares) arrive for that round.
+        # certify round -> (round size at last attempt, value or None).
+        # A failed reconstruction is retried only once the round gains a
+        # block.
         self._cache: dict[int, tuple[int, int | None]] = {}
 
-    def coin_value(self, certify_round: int, epoch_round: int | None = None) -> int | None:
+    def coin_value(self, certify_round: int) -> int | None:
         """The coin opened by ``certify_round``'s blocks, or ``None`` if
         fewer than ``2f + 1`` valid shares (from members of the
         committee proposing at ``certify_round``) are available yet.
 
-        ``epoch_round`` is accepted for signature compatibility with
-        :meth:`leader` but intentionally unused: shares resolve against
-        the certify round's own committee (see the class docstring).
+        A failed reconstruction is retried only once the round gains a
+        block.  Any new block is a superset of the blocks that can bring
+        a new share (a new member author's), and the shares used are
+        always the first seen per member author, so retrying more often
+        never changes the value.
         """
-        del epoch_round
-        committee = self._schedule.committee_at(certify_round)
-        authors_now = committee.count_members(self._store.authors_at_round(certify_round))
+        size_now = self._store.round_size(certify_round)
         cached = self._cache.get(certify_round)
         if cached is not None:
-            authors_then, value = cached
-            if value is not None or authors_then == authors_now:
+            size_then, value = cached
+            if value is not None or size_then == size_now:
                 return value
+        committee = self._schedule.committee_at(certify_round)
         shares: list[CoinShare] = []
         seen_authors: set[int] = set()
         for block in self._store.round_blocks(certify_round):
@@ -107,14 +108,14 @@ class LeaderElector:
                 )
             except (InsufficientShares, InvalidShare):
                 value = None
-        self._cache[certify_round] = (authors_now, value)
+        self._cache[certify_round] = (size_now, value)
         return value
 
     def invalidate(self) -> None:
         """Drop every cached reconstruction attempt.  A cached ``None``
         ("coin not open") was judged against a quorum and member set that
-        may have moved, and the author-count retry trigger alone cannot
-        tell that the *quorum* moved under an unchanged count.  Coin
+        may have moved, and the round-size retry trigger alone cannot
+        tell that the *quorum* moved under an unchanged round.  Coin
         values themselves are committee-independent, so re-deriving is
         cheap and safe."""
         self._cache.clear()
@@ -148,7 +149,7 @@ class LeaderElector:
         (the propose round); it defaults to ``certify_round`` for
         static-committee callers.
         """
-        value = self.coin_value(certify_round, epoch_round)
+        value = self.coin_value(certify_round)
         if value is None:
             return UNKNOWN_AUTHORITY
         committee = self._schedule.committee_at(
@@ -289,19 +290,19 @@ class Decider:
             return False
         return all(self.skipped_leader(propose_round, block) for block in candidates)
 
-    def try_direct_decide(self, propose_round: int) -> SlotStatus:
+    def try_direct_decide(self, propose_round: int, authority: int) -> SlotStatus:
         """Apply the direct decision rule to this slot.
 
-        Returns a COMMIT when some proposal holds ``2f + 1``
-        certificates (at most one can, Lemma 2); a SKIP when no proposal
-        — seen or unseen — can ever be certified; UNDECIDED otherwise,
-        including when the coin has not opened.
+        ``authority`` is the slot's elected validator (:meth:`elect`),
+        resolved once per classification by the caller.  Returns a
+        COMMIT when some proposal holds ``2f + 1`` certificates (at most
+        one can, Lemma 2); a SKIP when no proposal — seen or unseen —
+        can ever be certified; UNDECIDED otherwise, including when the
+        coin has not opened.
         """
-        authority = self.elect(propose_round)
-        if authority == UNKNOWN_AUTHORITY:
-            slot = LeaderSlot(round=propose_round, offset=self._leader_offset, authority=authority)
-            return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
         slot = LeaderSlot(round=propose_round, offset=self._leader_offset, authority=authority)
+        if authority == UNKNOWN_AUTHORITY:
+            return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
         candidates = self.candidate_blocks(propose_round, authority)
         for candidate in candidates:
             if self.supported_leader(propose_round, candidate):
@@ -316,22 +317,22 @@ class Decider:
     # Indirect decision rule (Section 3.2 step 3)
     # ------------------------------------------------------------------
     def try_indirect_decide(
-        self, propose_round: int, higher_statuses: "Iterable[SlotStatus]"
+        self, propose_round: int, authority: int, anchor: SlotStatus | None
     ) -> SlotStatus:
         """Apply the indirect (anchor) rule.
 
         Args:
             propose_round: This slot's propose round.
-            higher_statuses: Statuses of all later slots, ascending by
-                ``(round, offset)`` — produced by ``TryDecide``'s
-                top-down sweep (Algorithm 1).
+            authority: The slot's elected validator (:meth:`elect`).
+            anchor: The slot's anchor (Algorithm 2 line 29): the first
+                slot after the certify round, in ``(round, offset)``
+                order, that is not skipped — found by ``TryDecide``'s
+                top-down sweep (Algorithm 1).  ``None`` when every later
+                slot seen so far is skipped.
         """
-        authority = self.elect(propose_round)
         slot = LeaderSlot(round=propose_round, offset=self._leader_offset, authority=authority)
         if authority == UNKNOWN_AUTHORITY:
             return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
-        certify_round = self.certify_round(propose_round)
-        anchor = self._find_anchor(certify_round, higher_statuses)
         if anchor is None or anchor.decision is Decision.UNDECIDED:
             return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
         assert anchor.block is not None
@@ -341,19 +342,6 @@ class Decider:
                     slot=slot, decision=Decision.COMMIT, block=candidate, direct=False
                 )
         return SlotStatus(slot=slot, decision=Decision.SKIP, direct=False)
-
-    @staticmethod
-    def _find_anchor(
-        certify_round: int, higher_statuses: "Iterable[SlotStatus]"
-    ) -> SlotStatus | None:
-        """Algorithm 2 line 29: the first slot after the certify round
-        that is not skipped (i.e. committed or still undecided)."""
-        for status in higher_statuses:
-            if status.slot.round <= certify_round:
-                continue
-            if status.decision is not Decision.SKIP:
-                return status
-        return None
 
     def _is_certified_link(self, propose_round: int, anchor_block: Block, leader: Block) -> bool:
         """``IsCertifiedLink`` (Algorithm 3 line 16): a certify-round

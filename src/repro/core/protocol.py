@@ -194,6 +194,7 @@ class MahiMahiCore:
         """
         self.store.adopt_floor(round_number)
         self.committer.traversal.invalidate_below(round_number)
+        self.committer.drop_stamps()
         accepted: list[Block] = []
         progress = True
         while progress:

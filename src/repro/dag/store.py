@@ -140,6 +140,15 @@ class DagStore:
         result = self._round_tuples[round_number] = tuple(blocks)
         return result
 
+    def round_size(self, round_number: int) -> int:
+        """Number of blocks at the round, equivocations included (O(1)).
+
+        Rounds only grow until garbage collection drops them, so an
+        unchanged size means an unchanged block set: the commit walk
+        uses it to tell whether a slot's inputs moved.
+        """
+        return len(self._by_round.get(round_number, ()))
+
     def authors_at_round(self, round_number: int) -> frozenset[int]:
         """Distinct authors with at least one block in the round."""
         return frozenset(self._authors_by_round.get(round_number, ()))

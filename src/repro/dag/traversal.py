@@ -124,25 +124,39 @@ class DagTraversal:
         """``IsCert(b_cert, b_leader)`` — the certifier's parents include
         votes for the leader from at least ``2f + 1`` distinct authors.
         """
-        round_cache = self._cert_cache.get(leader.round)
+        leader_round = leader.round
+        round_cache = self._cert_cache.get(leader_round)
         if round_cache is None:
-            round_cache = self._cert_cache[leader.round] = {}
+            round_cache = self._cert_cache[leader_round] = {}
         key = (certifier.digest, leader.digest)
         cached = round_cache.get(key)
         if cached is not None:
             return cached
+        leader_author = leader.author
+        leader_digest = leader.digest
+        # The slot's vote memo is read directly, so a parent is searched
+        # only on a miss.  Authors come from the stored parent, not the
+        # reference: a reference is its certifier's claim, and counting
+        # claims would let a Byzantine certifier pass one author's
+        # equivocating votes off as several authors'.
+        votes = self._vote_cache.setdefault((leader_author, leader_round), {})
+        get = self._store.get
         voting_authors: set[int] = set()
         result = False
-        quorum = self._quorum_at(leader.round)
-        committee = self._membership(leader.round) if self._membership else None
+        quorum = self._quorum_at(leader_round)
+        committee = self._membership(leader_round) if self._membership else None
         for parent_ref in certifier.parents:
-            if parent_ref.round <= leader.round:
+            if parent_ref.round <= leader_round:
                 continue
-            parent = self._store.get_ref(parent_ref)
-            if committee is not None and not committee.is_member(parent.author):
+            parent = get(parent_ref.digest)
+            author = parent.author
+            if committee is not None and not committee.is_member(author):
                 continue
-            if self.is_vote(parent, leader):
-                voting_authors.add(parent.author)
+            voted = votes.get(parent.digest, _MISS)
+            if voted is _MISS:
+                voted = self._voted_block_memo(parent, leader_author, leader_round, votes)
+            if voted is not None and voted.digest == leader_digest:
+                voting_authors.add(author)
                 if len(voting_authors) >= quorum:
                     result = True
                     break

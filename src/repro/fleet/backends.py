@@ -136,6 +136,13 @@ def _default_runner(command: list[str], **kwargs) -> "subprocess.CompletedProces
     return subprocess.run(command, capture_output=True, text=True, **kwargs)
 
 
+#: rsync's exit status when source files vanished during the transfer.
+#: Points are renamed into place atomically and never removed, so only
+#: files that are not points can vanish; which points landed is checked
+#: afterwards with :func:`point_landed`.
+RSYNC_VANISHED = 24
+
+
 class SshBackend:
     """Shard dispatch over ``ssh``/``rsync``.
 
@@ -166,8 +173,11 @@ class SshBackend:
         return [self.spec.ssh_command, host.host, remote]
 
     def pull_results_command(self, host: FleetHost, store: ResultsStore) -> list[str]:
+        # Worker slots on one host share its point store: a sibling's
+        # in-flight ``*.tmp`` file must not be copied (it is renamed
+        # away mid-transfer and is never a complete point).
         return [
-            self.spec.rsync_command, "-az",
+            self.spec.rsync_command, "-az", "--exclude=*.tmp",
             f"{host.host}:{host.remote_path}/results/points/",
             f"{store.points_dir}{os.sep}",
         ]
@@ -207,12 +217,15 @@ class SshBackend:
         shards_dir.mkdir(parents=True, exist_ok=True)
         shard = shards_dir / shard_name
         shard.write_text(json.dumps([item.to_dict() for item in items], sort_keys=True))
+        pull = self.pull_results_command(host, store)
         for command in (
             self.push_shard_command(host, shard, shard_name),
             self.worker_command(host, shard_name, worker_id),
-            self.pull_results_command(host, store),
+            pull,
         ):
             proc = self.run_command(command)
+            if command is pull and proc.returncode == RSYNC_VANISHED:
+                continue
             if proc.returncode != 0:
                 failures.append(worker_id)
                 progress(

@@ -1,7 +1,9 @@
 """Tests for the Tusk baseline committer."""
 
-from repro.baselines.tusk import TUSK_WAVE, TuskCommitter
+from repro.baselines.tusk import TUSK_WAVE, TuskCommitter, make_tusk_committer
 from repro.committee import Committee
+from repro.config import ProtocolConfig
+from repro.core.protocol import MahiMahiCore
 from repro.core.slots import Decision
 
 from ..helpers import DagBuilder, FixedCoin
@@ -135,3 +137,20 @@ class TestSequenceExtension:
             for block in obs.linearized:
                 seen.extend(t.tx_id for t in block.transactions)
         assert len(seen) == len(set(seen))
+
+
+class TestRecovery:
+    def test_core_raises_its_sync_floor(self):
+        """A Tusk core takes the same state-transfer path as Mahi-Mahi's,
+        which drops the commit walk's memos below the raised floor."""
+        committee = Committee.of_size(4)
+        coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
+        core = MahiMahiCore(
+            0,
+            committee,
+            ProtocolConfig(),
+            coin,
+            committer_factory=lambda store: make_tusk_committer(store, committee, coin),
+        )
+        assert core.raise_sync_floor(3) == []
+        assert core.store.sync_floor == 3

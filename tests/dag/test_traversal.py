@@ -3,6 +3,7 @@ linearization."""
 
 import pytest
 
+from repro.block import Block, BlockRef
 from repro.committee import Committee
 from repro.dag.traversal import DagTraversal
 
@@ -108,6 +109,24 @@ class TestIsCert:
         certifier = builder.block(
             2, 5, parents=[(0, 4, "a"), (0, 4, "b"), (1, 4)]
         )
+        assert not traversal.is_cert(certifier, leader)
+
+    def test_cert_counts_stored_authors_not_reference_claims(self, setup):
+        """A certifier that relabels one equivocating vote as another
+        author's still has only 2 distinct voting authors."""
+        builder, traversal = setup
+        builder.rounds(1, 3)
+        leader = builder.get(0, 1)
+        builder.block(0, 4, tag="a")
+        sibling = builder.block(0, 4, tag="b")
+        builder.block(1, 4)
+        relabeled = BlockRef(author=3, round=4, digest=sibling.digest)
+        certifier = Block(
+            author=2,
+            round=5,
+            parents=(builder.ref(0, 4, "a"), relabeled, builder.ref(1, 4)),
+        )
+        builder.store.add(certifier)
         assert not traversal.is_cert(certifier, leader)
 
     def test_cert_cache_stable(self, setup):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import subprocess
+import threading
+from fnmatch import fnmatch
 from pathlib import Path
 
 from repro.fleet.backends import SshBackend, point_landed, worker_env
@@ -62,13 +64,19 @@ class TestSshCommands:
         assert "REPRO_BENCH_WORKERS=1" in worker[2]
         assert "--shard s.json" in worker[2]
         pull = backend.pull_results_command(host, store)
-        assert pull[1] == "-az" and pull[2].startswith("node1:")
+        assert pull[1] == "-az" and "--exclude=*.tmp" in pull
+        assert pull[-2].startswith("node1:")
 
 
 class FakeSshRunner:
     """Executes the ssh backend's command plan locally: ``rsync`` copies
     become file copies, the remote worker invocation runs the shard
-    in-process against the 'remote' checkout directory."""
+    in-process against the 'remote' checkout directory.
+
+    Like rsync, a pull honours ``--exclude=PATTERN``, writes each file
+    to a temporary name and renames it into place (so a concurrent
+    reader never sees a torn file), and exits 24 when a source file
+    vanishes mid-transfer."""
 
     def __init__(self, remote_path: Path, *, fail_worker_rounds: int = 0) -> None:
         self.remote_path = remote_path
@@ -80,6 +88,7 @@ class FakeSshRunner:
         ok = subprocess.CompletedProcess(command, 0, stdout="", stderr="")
         if command[0] == "rsync":
             source, dest = command[-2], command[-1]
+            excludes = [arg.partition("=")[2] for arg in command if arg.startswith("--exclude=")]
             if dest.startswith("node1:"):  # push: shard file to the host
                 target = Path(dest.partition(":")[2])
                 target.parent.mkdir(parents=True, exist_ok=True)
@@ -88,9 +97,21 @@ class FakeSshRunner:
                 remote_points = Path(source.partition(":")[2])
                 local_points = Path(dest)
                 local_points.mkdir(parents=True, exist_ok=True)
+                vanished = False
                 if remote_points.is_dir():
                     for path in remote_points.iterdir():
-                        (local_points / path.name).write_bytes(path.read_bytes())
+                        if any(fnmatch(path.name, pattern) for pattern in excludes):
+                            continue
+                        try:
+                            data = path.read_bytes()
+                        except FileNotFoundError:
+                            vanished = True
+                            continue
+                        staging = local_points / f".{path.name}.{threading.get_ident()}"
+                        staging.write_bytes(data)
+                        staging.replace(local_points / path.name)
+                if vanished:
+                    return subprocess.CompletedProcess(command, 24, stdout="", stderr="vanished")
             return ok
         # The ssh worker invocation: run the shard against remote_path.
         if self.fail_worker_rounds > 0:
