@@ -169,11 +169,18 @@ class TuskCommitter:
         return statuses
 
     def extend_commit_sequence(self) -> list[CommitObservation]:
-        """Finalize decided slots in order; stop at the first undecided."""
-        highest = self._store.highest_round
-        if highest < self._cursor_round:
+        """Finalize decided slots in order; stop at the first undecided.
+
+        Like :meth:`repro.core.committer.Committer.extend_commit_sequence`
+        the sweep stops at the coin frontier, ``highest_round -
+        TUSK_COIN_DELAY``: a leader above it has an empty coin round, so
+        its authority is unknown and it is UNDECIDED, and an UNDECIDED
+        anchor decides nothing below it, exactly as no anchor does.
+        """
+        frontier = self._store.highest_round - TUSK_COIN_DELAY
+        if frontier < self._cursor_round:
             return []
-        statuses = self.try_decide(self._cursor_round, highest)
+        statuses = self.try_decide(self._cursor_round, frontier)
         observations: list[CommitObservation] = []
         for status in statuses:
             if status.slot.round != self._cursor_round:

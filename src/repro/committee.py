@@ -129,7 +129,8 @@ class Committee:
         return tuple(a.index for a in self.authorities)
 
     @cached_property
-    def _member_set(self) -> frozenset[ValidatorId]:
+    def member_set(self) -> frozenset[ValidatorId]:
+        """Member indexes as a set (O(1) membership in hot loops)."""
         return frozenset(self.members)
 
     @cached_property
@@ -151,12 +152,12 @@ class Committee:
 
     def is_member(self, index: ValidatorId) -> bool:
         """Whether ``index`` identifies a committee member."""
-        return index in self._member_set
+        return index in self.member_set
 
     def count_members(self, indexes: Iterable[ValidatorId]) -> int:
         """How many of ``indexes`` are committee members (quorum
         counting over a round's block authors)."""
-        member_set = self._member_set
+        member_set = self.member_set
         return sum(1 for index in indexes if index in member_set)
 
     def leader_for(self, value: int, offset: int = 0) -> ValidatorId:

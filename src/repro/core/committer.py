@@ -12,6 +12,19 @@ The walk stops at the first undecided slot.
 Decided slot classifications are final (Lemmas 4-6), so they are cached
 and never recomputed.
 
+The sweep stops at the *coin frontier*: ``extend_commit_sequence``
+classifies propose rounds only up to ``highest_round - (wave_length -
+1)``, the last one whose certify round can hold a block.  This is
+exact.  A slot above the bound has an empty certify round, so its coin
+is closed, ``elect`` returns ``UNKNOWN_AUTHORITY`` and the slot is
+UNDECIDED: it can finalize nothing itself.  A lower slot whose anchor
+would have been such a slot now gets ``None`` instead; the indirect rule
+returns UNDECIDED for both an UNDECIDED and a ``None`` anchor, and both
+put a ``None`` anchor digest in the stamp below.  The restart after
+``_apply_reconfig`` goes through the same method and is bounded too.
+``slot_statuses`` is introspection and still sweeps to the highest
+round.
+
 The walk is incremental for undecided slots too: each one caches its
 status together with an *input stamp*, and an equal stamp returns the
 cached status without running the decision rules.  The stamp is the
@@ -275,10 +288,12 @@ class Committer:
         empty extension.  Returns one observation per finalized slot
         (committed slots carry their newly linearized blocks).
         """
-        highest = self._store.highest_round
-        if highest < self._cursor_round:
+        # The coin frontier: the last propose round whose certify round
+        # can hold a block (see the module docstring).
+        frontier = self._store.highest_round - (self._config.wave_length - 1)
+        if frontier < self._cursor_round:
             return []
-        statuses = self.try_decide(self._cursor_round, highest)
+        statuses = self.try_decide(self._cursor_round, frontier)
         observations: list[CommitObservation] = []
         for status in statuses:
             expected = (self._cursor_round, self._cursor_offset)

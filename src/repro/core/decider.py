@@ -81,7 +81,9 @@ class LeaderElector:
         block.  Any new block is a superset of the blocks that can bring
         a new share (a new member author's), and the shares used are
         always the first seen per member author, so retrying more often
-        never changes the value.
+        never changes the value.  While the round has fewer distinct
+        authors than the quorum the answer is ``None`` in O(1), without
+        collecting shares.
         """
         size_now = self._store.round_size(certify_round)
         cached = self._cache.get(certify_round)
@@ -90,6 +92,11 @@ class LeaderElector:
             if value is not None or size_then == size_now:
                 return value
         committee = self._schedule.committee_at(certify_round)
+        if self._store.num_authors_at_round(certify_round) < committee.quorum_threshold:
+            # Member shares <= distinct authors: the coin cannot open,
+            # so skip building the share list.
+            self._cache[certify_round] = (size_now, None)
+            return None
         shares: list[CoinShare] = []
         seen_authors: set[int] = set()
         for block in self._store.round_blocks(certify_round):

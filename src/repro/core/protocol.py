@@ -224,15 +224,14 @@ class MahiMahiCore:
             except BlockValidationError:
                 return AddBlockResult(rejected=True)
 
-        missing = [
-            ref for ref in self.store.missing_parents(block) if ref.digest not in self._pending
-        ]
-        pending_parents = [
-            ref for ref in block.parents
-            if ref.digest in self._pending
-        ]
-        if missing or pending_parents:
-            self._pending[block.digest] = block
+        missing = self.store.missing_parents(block)
+        pending = self._pending
+        # With nothing buffered (the common case) no parent can be
+        # pending, so the parent list is not scanned again.
+        if pending:
+            missing = [ref for ref in missing if ref.digest not in pending]
+        if missing or (pending and any(ref.digest in pending for ref in block.parents)):
+            pending[block.digest] = block
             for ref in block.parents:
                 if ref.digest not in self.store:
                     self._waiting_on.setdefault(ref.digest, []).append(block.digest)
@@ -264,8 +263,9 @@ class MahiMahiCore:
         return accepted
 
     def _track_tips(self, block: Block) -> None:
+        pop = self._tips.pop
         for ref in block.parents:
-            self._tips.pop(ref.digest, None)
+            pop(ref.digest, None)
         self._tips[block.digest] = block.reference
 
     # ------------------------------------------------------------------

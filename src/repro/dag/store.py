@@ -14,7 +14,7 @@ and :mod:`repro.runtime.synchronizer`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from ..block import Block, BlockRef, GENESIS_ROUND
 from ..crypto.hashing import Digest
@@ -112,6 +112,13 @@ class DagStore:
             return self._by_digest[digest]
         except KeyError:
             raise UnknownBlockError(f"no block with digest {digest[:8].hex()}") from None
+
+    def blocks_by_digest(self) -> Mapping[Digest, Block]:
+        """Read-only view of the digest index, for hot loops that look
+        up many parents and would otherwise pay a method call each (a
+        missing digest raises ``KeyError``).  Callers must not mutate
+        it."""
+        return self._by_digest
 
     def get_ref(self, ref: BlockRef) -> Block:
         """Fetch a block by reference (digest lookup)."""

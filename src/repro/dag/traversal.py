@@ -19,11 +19,14 @@ per DFS path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..block import Block
 from ..crypto.hashing import Digest
 from .store import DagStore
+
+if TYPE_CHECKING:
+    from ..committee import Committee
 
 
 class DagTraversal:
@@ -34,7 +37,7 @@ class DagTraversal:
         store: DagStore,
         quorum_threshold: "int | Callable[[int], int]",
         *,
-        membership: "Callable[[int], object] | None" = None,
+        membership: "Callable[[int], Committee] | None" = None,
     ) -> None:
         """Create a traversal helper.
 
@@ -138,28 +141,31 @@ class DagTraversal:
         # only on a miss.  Authors come from the stored parent, not the
         # reference: a reference is its certifier's claim, and counting
         # claims would let a Byzantine certifier pass one author's
-        # equivocating votes off as several authors'.
+        # equivocating votes off as several authors'.  Both the vote and
+        # the author's membership must hold; the vote goes first, so a
+        # non-voting parent skips the membership test.
         votes = self._vote_cache.setdefault((leader_author, leader_round), {})
-        get = self._store.get
+        blocks = self._store.blocks_by_digest()
         voting_authors: set[int] = set()
         result = False
         quorum = self._quorum_at(leader_round)
-        committee = self._membership(leader_round) if self._membership else None
+        members = self._membership(leader_round).member_set if self._membership else None
         for parent_ref in certifier.parents:
             if parent_ref.round <= leader_round:
                 continue
-            parent = get(parent_ref.digest)
-            author = parent.author
-            if committee is not None and not committee.is_member(author):
-                continue
-            voted = votes.get(parent.digest, _MISS)
+            parent = blocks[parent_ref.digest]
+            voted = votes.get(parent_ref.digest, _MISS)
             if voted is _MISS:
                 voted = self._voted_block_memo(parent, leader_author, leader_round, votes)
-            if voted is not None and voted.digest == leader_digest:
-                voting_authors.add(author)
-                if len(voting_authors) >= quorum:
-                    result = True
-                    break
+            if voted is None or voted.digest != leader_digest:
+                continue
+            author = parent.author
+            if members is not None and author not in members:
+                continue
+            voting_authors.add(author)
+            if len(voting_authors) >= quorum:
+                result = True
+                break
         round_cache[key] = result
         return result
 

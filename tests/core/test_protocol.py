@@ -5,7 +5,7 @@ import pytest
 from repro.block import Block, make_genesis
 from repro.committee import Committee
 from repro.config import ProtocolConfig
-from repro.core.protocol import MahiMahiCore
+from repro.core.protocol import AddBlockResult, MahiMahiCore
 from repro.crypto.coin import FastCoin
 from repro.crypto.signing import NullSignatureScheme, generate_keys
 from repro.dag.validation import BlockVerifier
@@ -151,6 +151,37 @@ class TestIngestion:
         for block in round1:
             receiver.add_block(block)
         assert round2.digest in receiver.store
+
+    def test_block_with_pending_parent_buffered_not_inserted(self):
+        """Every round-2 block waits on a withheld round-1 block; a
+        round-3 block whose parents are all pending has no parent to
+        fetch, yet must be buffered rather than inserted."""
+        cores, _ = make_cores()
+        rounds = []
+        for _ in range(3):
+            blocks = [core.maybe_propose() for core in cores]
+            for block in blocks:
+                for core in cores:
+                    if core.authority != block.author:
+                        core.add_block(block)
+            rounds.append(blocks)
+        withheld = rounds[0][1]
+        receiver = make_cores()[0][0]
+        for block in rounds[0]:
+            if block is not withheld:
+                assert receiver.add_block(block).accepted == (block,)
+        for block in rounds[1]:
+            result = receiver.add_block(block)
+            assert result.accepted == () and result.missing == (withheld.reference,)
+        child = rounds[2][2]
+        assert all(ref.digest in {b.digest for b in rounds[1]} for ref in child.parents)
+        result = receiver.add_block(child)
+        assert result == AddBlockResult()
+        assert child.digest not in receiver.store
+        assert receiver.pending_count == 5
+        flushed = receiver.add_block(withheld).accepted
+        assert flushed[0] == withheld and flushed[-1] == child and len(flushed) == 6
+        assert receiver.pending_count == 0
 
     def test_rejected_block_with_verifier(self):
         committee = Committee.of_size(4)

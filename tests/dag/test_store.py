@@ -37,6 +37,39 @@ class TestInsertion:
         missing = store.missing_parents(block)
         assert {ref.author for ref in missing} == {1, 2, 3}
 
+    def test_absent_parent_below_sync_floor_counts_as_present(self):
+        store = DagStore()
+        genesis = make_genesis(4)
+        store.add_genesis(genesis)
+        absent = Block(author=1, round=1, parents=(genesis[1].reference,))
+        block = Block(author=0, round=3, parents=(genesis[0].reference, absent.reference))
+        assert store.missing_parents(block) == [absent.reference]
+        store.adopt_floor(2)
+        assert store.missing_parents(block) == []
+        store.add(block)
+        assert block.digest in store
+
+    def test_absent_parents_at_or_above_sync_floor_reported_in_parent_order(self):
+        store = DagStore()
+        genesis = make_genesis(4)
+        store.add_genesis(genesis)
+        store.adopt_floor(2)
+
+        def absent(author: int, round_number: int):
+            return Block(author=author, round=round_number, parents=()).reference
+
+        parents = (
+            absent(2, 3),
+            absent(0, 1),  # below the floor: counts as present
+            genesis[3].reference,  # stored
+            absent(0, 3),
+            absent(1, 2),  # at the floor: required
+        )
+        block = Block(author=0, round=4, parents=parents)
+        assert store.missing_parents(block) == [parents[0], parents[3], parents[4]]
+        with pytest.raises(UnknownBlockError):
+            store.add(block)
+
     def test_genesis_must_be_round_zero(self):
         store = DagStore()
         with pytest.raises(UnknownBlockError):
